@@ -27,6 +27,19 @@ struct Tally {
     saturations: AtomicU64,
 }
 
+/// An independent reader of the dirty-block bitmap. Every block
+/// written is reported once to *each* consumer, whatever order their
+/// drains interleave in (see
+/// [`AtomicCounterArray::take_dirty_blocks_for`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DirtyConsumer {
+    /// Delta checkpoints: `checkpoint_delta` chains and the snapshots
+    /// that anchor them.
+    Checkpoint = 0,
+    /// Collector pushes: the supervised tap's O(changed) sync.
+    Push = 1,
+}
+
 /// Fixed-width saturating counter array with interior mutability.
 #[derive(Debug)]
 pub struct AtomicCounterArray {
@@ -42,6 +55,10 @@ pub struct AtomicCounterArray {
     /// epoch almost every write hits an already-set bit, so the hot
     /// path pays a load, not a locked RMW.
     dirty: Vec<AtomicU64>,
+    /// Per-[`DirtyConsumer`] carry, same layout as `dirty`: blocks a
+    /// drain by the *other* consumer took off the hot bitmap, plus
+    /// blocks this consumer handed back. Writers never touch it.
+    carry: [Vec<AtomicU64>; 2],
 }
 
 impl AtomicCounterArray {
@@ -71,6 +88,9 @@ impl AtomicCounterArray {
             bits,
             tallies: (0..stripes).map(|_| CachePadded::<Tally>::default()).collect(),
             dirty: (0..dirty_words_for(len)).map(|_| AtomicU64::new(0)).collect(),
+            carry: std::array::from_fn(|_| {
+                (0..dirty_words_for(len)).map(|_| AtomicU64::new(0)).collect()
+            }),
         }
     }
 
@@ -87,19 +107,39 @@ impl AtomicCounterArray {
         }
     }
 
-    /// Drain the dirty-block bitmap: ascending indices of every block
-    /// written since the last drain, then mark everything clean. Same
+    /// Drain the dirty-block bitmap for [`DirtyConsumer::Checkpoint`]:
+    /// ascending indices of every block written since its last drain.
+    /// See [`AtomicCounterArray::take_dirty_blocks_for`].
+    pub fn take_dirty_blocks(&self) -> Vec<usize> {
+        self.take_dirty_blocks_for(DirtyConsumer::Checkpoint)
+    }
+
+    /// Drain the dirty-block bitmap for `consumer`: ascending indices
+    /// of every block written since that consumer's last drain. Same
     /// contract as [`crate::CounterArray::take_dirty_blocks`]
     /// (over-approximates change, never misses a changed counter) —
     /// **provided the caller drains at a quiescent point**: a writer
-    /// racing the drain may have its mark consumed while its counter
-    /// store lands after the caller reads the block, so the delta
-    /// checkpoint machinery only drains at epoch boundaries, after the
-    /// lane rings and writeback buffers have been flushed.
-    pub fn take_dirty_blocks(&self) -> Vec<usize> {
+    /// marks before it stores, so a writer racing the drain may have
+    /// its mark consumed while its counter store lands after the
+    /// caller reads the block. The delta checkpoint machinery and the
+    /// supervised tap therefore only drain at epoch boundaries, after
+    /// the lane rings and writeback buffers have been flushed.
+    ///
+    /// The two consumers share one hot bitmap, so the writers' mark
+    /// is unchanged. A drain takes the hot bits plus its own carry and
+    /// ORs the hot bits into the other consumer's carry: a block
+    /// written once reaches each consumer exactly once, however their
+    /// drains interleave. O(L / 4096) words.
+    pub fn take_dirty_blocks_for(&self, consumer: DirtyConsumer) -> Vec<usize> {
+        let mine = &self.carry[consumer as usize];
+        let other = &self.carry[1 - consumer as usize];
         let mut blocks = Vec::new();
         for (w, word) in self.dirty.iter().enumerate() {
-            let mut bits = word.swap(0, Ordering::Relaxed);
+            let hot = word.swap(0, Ordering::Relaxed);
+            if hot != 0 {
+                other[w].fetch_or(hot, Ordering::Relaxed);
+            }
+            let mut bits = hot | mine[w].swap(0, Ordering::Relaxed);
             while bits != 0 {
                 let b = bits.trailing_zeros() as usize;
                 blocks.push(w * 64 + b);
@@ -107,6 +147,22 @@ impl AtomicCounterArray {
             }
         }
         blocks
+    }
+
+    /// Hand drained blocks back to `consumer`: its next
+    /// [`AtomicCounterArray::take_dirty_blocks_for`] reports them
+    /// again. What a push that failed on the wire uses to carry its
+    /// unacked blocks into the next sync.
+    ///
+    /// # Panics
+    /// Panics if a block index is out of range.
+    pub fn requeue_dirty_blocks(&self, consumer: DirtyConsumer, blocks: &[usize]) {
+        let carry = &self.carry[consumer as usize];
+        let n_blocks = self.counters.len().div_ceil(crate::sram::DIRTY_BLOCK_COUNTERS);
+        for &b in blocks {
+            assert!(b < n_blocks, "dirty block {b} out of range");
+            carry[b >> 6].fetch_or(1u64 << (b & 63), Ordering::Relaxed);
+        }
     }
 
     /// Overwrite counters `start .. start + values.len()` with absolute
@@ -374,27 +430,38 @@ impl AtomicCounterArray {
     }
 
     /// The sparse form of [`AtomicCounterArray::merge_counters`]: fold
-    /// `(index, increment)` pairs plus the producer's tally increments
-    /// — what a wire-pushed [`crate::SketchDelta`] merges through.
-    /// Saturation-aware exactly like the dense path (each clamp
-    /// crossing is counted), so a delta-fed view degrades
+    /// `(block index, per-counter increments)` spans plus the
+    /// producer's tally increments — what a wire-pushed
+    /// [`crate::SketchDelta`] merges through. Every span is checked to
+    /// lie inside the array before any is applied, so a bad delta
+    /// cannot half-apply. Spans apply in the given order, counter by
+    /// counter, saturation-aware exactly like the dense path (each
+    /// clamp crossing is counted), so a delta-fed view degrades
     /// [`crate::QueryHealth`] identically to a full-push-fed one.
-    pub fn merge_counters_sparse(
+    pub fn merge_counter_blocks(
         &self,
-        updates: &[(usize, u64)],
+        blocks: &[(usize, Vec<u64>)],
         total_added: u64,
         saturation_events: u64,
     ) -> Result<(), MergeError> {
-        if let Some(&(idx, _)) = updates.iter().find(|&&(idx, _)| idx >= self.counters.len()) {
-            return Err(MergeError::Geometry {
-                field: "counters",
-                ours: self.counters.len() as u64,
-                theirs: idx as u64,
-            });
+        let span = crate::sram::DIRTY_BLOCK_COUNTERS;
+        let len = self.counters.len();
+        for (block, increments) in blocks {
+            // Saturating: an index past `usize::MAX` is out of range too.
+            let end = block.saturating_mul(span).saturating_add(increments.len());
+            if end > len {
+                return Err(MergeError::Geometry {
+                    field: "counters",
+                    ours: len as u64,
+                    theirs: end as u64,
+                });
+            }
         }
-        for &(idx, v) in updates {
-            if v > 0 {
-                self.add_counter(idx, v, 0);
+        for (block, increments) in blocks {
+            for (i, &v) in increments.iter().enumerate() {
+                if v > 0 {
+                    self.add_counter(block * span + i, v, 0);
+                }
             }
         }
         self.tallies[0].total_added.fetch_add(total_added, Ordering::Relaxed);
@@ -1039,6 +1106,34 @@ mod tests {
         r.store_counters(DIRTY_BLOCK_COUNTERS, &[3, 4, 5]);
         assert!(r.take_dirty_blocks().is_empty());
         assert_eq!(r.get(DIRTY_BLOCK_COUNTERS + 1), 4);
+    }
+
+    #[test]
+    fn each_consumer_sees_every_dirty_block_once() {
+        use crate::sram::DIRTY_BLOCK_COUNTERS;
+        use DirtyConsumer::{Checkpoint, Push};
+        let a = AtomicCounterArray::new(DIRTY_BLOCK_COUNTERS * 70 + 3, 16);
+        a.add(0, 1);
+        a.add(DIRTY_BLOCK_COUNTERS * 70 + 2, 1); // tail block, second word
+        assert_eq!(a.take_dirty_blocks_for(Checkpoint), vec![0, 70]);
+        a.add(DIRTY_BLOCK_COUNTERS * 5, 1);
+        // Push sees what Checkpoint already drained, plus the new block.
+        assert_eq!(a.take_dirty_blocks_for(Push), vec![0, 5, 70]);
+        assert!(a.take_dirty_blocks_for(Push).is_empty());
+        // ... and Checkpoint still sees the block Push drained first.
+        assert_eq!(a.take_dirty_blocks_for(Checkpoint), vec![5]);
+        assert!(a.take_dirty_blocks_for(Checkpoint).is_empty());
+        // A requeued block comes back to its consumer only.
+        a.requeue_dirty_blocks(Push, &[3, 70]);
+        assert!(a.take_dirty_blocks_for(Checkpoint).is_empty());
+        assert_eq!(a.take_dirty_blocks_for(Push), vec![3, 70]);
+        assert_eq!(a.take_dirty_blocks(), Vec::<usize>::new(), "legacy drain is Checkpoint");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn requeue_rejects_out_of_range_blocks() {
+        AtomicCounterArray::new(65, 8).requeue_dirty_blocks(DirtyConsumer::Push, &[2]);
     }
 
     #[test]

@@ -1290,17 +1290,8 @@ impl ConcurrentCaesar {
     /// base-epoch discipline — this method applies unconditionally.
     pub fn merge_delta(&mut self, delta: &SketchDelta) -> Result<(), MergeError> {
         self.fingerprint().expect_matches(&delta.fingerprint)?;
-        let span = crate::sram::DIRTY_BLOCK_COUNTERS;
-        let updates: Vec<(usize, u64)> = delta
-            .blocks
-            .iter()
-            .flat_map(|(block, increments)| {
-                let start = block * span;
-                increments.iter().enumerate().map(move |(i, &v)| (start + i, v))
-            })
-            .collect();
-        self.sram.merge_counters_sparse(
-            &updates,
+        self.sram.merge_counter_blocks(
+            &delta.blocks,
             delta.total_added_delta,
             delta.saturation_events_delta,
         )?;
@@ -1732,6 +1723,55 @@ mod tests {
         let f = ConcurrentCaesar::empty(foreign_cfg).export_sketch();
         let foreign = SketchDelta::between(&f, &f, 0).unwrap();
         assert!(matches!(view.merge_delta(&foreign), Err(MergeError::Seed { .. })));
+    }
+
+    #[test]
+    fn merge_delta_validates_every_block_before_applying_any() {
+        let span = crate::sram::DIRTY_BLOCK_COUNTERS;
+        let mut view = ConcurrentCaesar::empty(cfg());
+        let bad = SketchDelta {
+            fingerprint: view.fingerprint(),
+            base_epoch: 0,
+            blocks: vec![(0, vec![5; span]), (cfg().counters / span, vec![1])],
+            total_added_delta: 5 * span as u64 + 1,
+            saturation_events_delta: 0,
+            evictions_delta: 1,
+        };
+        assert!(matches!(
+            view.merge_delta(&bad),
+            Err(MergeError::Geometry { field: "counters", .. })
+        ));
+        assert!(view.sram().snapshot().iter().all(|&c| c == 0), "nothing half-applied");
+        assert_eq!(view.sram().total_added(), 0);
+        assert_eq!(view.evictions(), 0);
+    }
+
+    #[test]
+    fn merge_delta_saturates_like_the_increment_payload() {
+        // 6-bit counters clamp at 63: a loaded view plus a delta drives
+        // many counters across the clamp, and the delta path must count
+        // exactly the crossings the dense payload path counts.
+        let narrow = CaesarConfig { counter_bits: 6, ..cfg() };
+        let flows = workload();
+        let half = flows.len() / 2;
+        let mut tap = ConcurrentCaesar::empty(narrow);
+        tap.merge(&ConcurrentCaesar::build(narrow, 1, &flows[..half])).unwrap();
+        let prev = tap.export_sketch();
+        tap.merge(&ConcurrentCaesar::build(narrow, 1, &flows[half..])).unwrap();
+        let delta = SketchDelta::between(&prev, &tap.export_sketch(), 0).unwrap();
+
+        let loaded = ConcurrentCaesar::build(narrow, 2, &flows);
+        let mut via_delta = ConcurrentCaesar::empty(narrow);
+        via_delta.merge(&loaded).unwrap();
+        let mut via_payload = ConcurrentCaesar::empty(narrow);
+        via_payload.merge(&loaded).unwrap();
+        let before = via_delta.sram().saturations();
+        via_delta.merge_delta(&delta).unwrap();
+        via_payload.merge_sketch(&delta.to_increment_payload()).unwrap();
+        assert!(via_delta.sram().saturations() > before, "the clamp must be crossed");
+        assert_eq!(via_delta.sram().snapshot(), via_payload.sram().snapshot());
+        assert_eq!(via_delta.sram().saturations(), via_payload.sram().saturations());
+        assert_eq!(via_delta.sram().total_added(), via_payload.sram().total_added());
     }
 
     #[test]

@@ -64,7 +64,8 @@ pub mod threaded;
 pub mod update;
 
 pub use atomic_sram::{
-    AtomicCounterArray, SegmentSink, WritebackBuffer, WritebackSink, WRITEBACK_ACCUMULATE_ALL,
+    AtomicCounterArray, DirtyConsumer, SegmentSink, WritebackBuffer, WritebackSink,
+    WRITEBACK_ACCUMULATE_ALL,
 };
 pub use concurrent::{
     per_shard_entries, BuildError, BuildMode, ConcurrentCaesar, IngestStats,

@@ -249,9 +249,17 @@ impl SketchPayload {
     /// ```
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append [`SketchPayload::encode`]'s output to `buf` — how a
+    /// service frame embeds the payload without an intermediate copy.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(self.encoded_len());
         buf.put_slice(PAYLOAD_MAGIC);
         buf.put_u16_le(PAYLOAD_VERSION);
-        self.fingerprint.encode_into(&mut buf);
+        self.fingerprint.encode_into(buf);
         buf.put_u64_le(self.total_added);
         buf.put_u64_le(self.saturation_events);
         buf.put_u64_le(self.evictions);
@@ -259,7 +267,6 @@ impl SketchPayload {
         for &c in &self.counters {
             buf.put_u64_le(c);
         }
-        buf
     }
 
     /// Exact size of [`SketchPayload::encode`]'s output in bytes —
@@ -433,9 +440,17 @@ impl SketchDelta {
     /// ```
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append [`SketchDelta::encode`]'s output to `buf` — how a
+    /// service frame embeds the delta without an intermediate copy.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.reserve(self.encoded_len());
         buf.put_slice(DELTA_PAYLOAD_MAGIC);
         buf.put_u16_le(DELTA_PAYLOAD_VERSION);
-        self.fingerprint.encode_into(&mut buf);
+        self.fingerprint.encode_into(buf);
         buf.put_u64_le(self.base_epoch);
         buf.put_u64_le(self.total_added_delta);
         buf.put_u64_le(self.saturation_events_delta);
@@ -447,7 +462,6 @@ impl SketchDelta {
                 buf.put_u64_le(v);
             }
         }
-        buf
     }
 
     /// Exact size of [`SketchDelta::encode`]'s output in bytes — the

@@ -68,7 +68,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::atomic_sram::AtomicCounterArray;
+use crate::atomic_sram::{AtomicCounterArray, DirtyConsumer};
 use crate::concurrent::{
     panic_payload, ConcurrentCaesar, IngestStats, ShardWorker, STREAM_CHUNK,
 };
@@ -1356,18 +1356,39 @@ impl ThreadedCaesar {
     /// an aggregator. Call [`ThreadedCaesar::merge_now`] first if the
     /// payload should include everything offered so far.
     pub fn export_sketch(&self) -> SketchPayload {
-        let mut evictions = 0;
-        for lane in &self.lanes {
-            let cell = lane.shared.cell.lock().expect("worker cell lock");
-            evictions += lane.retired.evictions + cell.worker.ingest_stats().evictions;
-        }
         SketchPayload {
             fingerprint: SketchFingerprint::of(&self.cfg),
             counters: self.sram.snapshot(),
             total_added: self.sram.total_added(),
             saturation_events: self.sram.saturations(),
-            evictions,
+            evictions: self.evictions(),
         }
+    }
+
+    /// Eviction events behind the visible counters, summed across
+    /// lanes (retired workers included) — the `evictions` tally of
+    /// [`ThreadedCaesar::export_sketch`] without copying the counters.
+    pub fn evictions(&self) -> u64 {
+        self.lanes
+            .iter()
+            .map(|lane| {
+                let cell = lane.shared.cell.lock().expect("worker cell lock");
+                lane.retired.evictions + cell.worker.ingest_stats().evictions
+            })
+            .sum()
+    }
+
+    /// Drain the SRAM dirty bitmap for [`DirtyConsumer::Push`]:
+    /// ascending indices of every block written since the last push
+    /// drain, whatever snapshots or `checkpoint_delta` drains ran in
+    /// between (the two consumers drain independently).
+    ///
+    /// Call it right after [`ThreadedCaesar::merge_now`]: every lane's
+    /// flush is acknowledged by then and no packet can arrive before
+    /// the caller's next offer, so no counter store can land behind
+    /// the drain.
+    pub fn take_push_dirty_blocks(&self) -> Vec<usize> {
+        self.sram.take_dirty_blocks_for(DirtyConsumer::Push)
     }
 }
 
@@ -1460,9 +1481,15 @@ fn worker_loop(
             }
             if shared.ctrl.park.load(Ordering::Acquire) {
                 shared.hb.state.0.store(HB_PARKED, Ordering::Release);
+                // Leave the park when packets arrive, not only when the
+                // flag drops: a resume followed by a quick offer and a
+                // new quiesce can raise the flag again before this loop
+                // ever sees it low, and that quiesce waits for the ring
+                // to drain.
                 while shared.ctrl.park.load(Ordering::Acquire)
                     && !shared.ctrl.stop.load(Ordering::Acquire)
                     && !fenced(&mut rx)
+                    && rx.is_empty()
                 {
                     std::thread::sleep(Duration::from_micros(200));
                 }

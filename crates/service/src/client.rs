@@ -21,7 +21,8 @@ use std::net::{TcpStream, ToSocketAddrs};
 use caesar::{MergeError, SketchDelta, SketchFingerprint, SketchPayload};
 
 use crate::proto::{
-    read_frame, write_frame, ClusterStats, HealthReport, ProtoError, Request, Response,
+    encode_push_delta, encode_push_sketch, encode_query, read_frame, write_frame, ClusterStats,
+    HealthReport, ProtoError, Request, Response,
 };
 use crate::server::MeasurementService;
 
@@ -60,8 +61,10 @@ impl From<ProtoError> for ServiceError {
 /// One request/response round trip; how the bytes move is the
 /// implementor's business.
 pub trait Transport {
-    /// Send `request`, wait for and return the response.
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError>;
+    /// Send one encoded request payload (the output of
+    /// [`Request::encode`], owned so a framing transport can seal it
+    /// in place), wait for and return the decoded response.
+    fn round_trip(&mut self, request: Vec<u8>) -> Result<Response, ServiceError>;
 }
 
 /// In-process transport: drives a [`MeasurementService`] directly
@@ -79,8 +82,8 @@ impl<'a> InProcess<'a> {
 }
 
 impl Transport for InProcess<'_> {
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        let payload = self.service.handle_payload(&request.encode());
+    fn round_trip(&mut self, request: Vec<u8>) -> Result<Response, ServiceError> {
+        let payload = self.service.handle_payload(&request);
         Ok(Response::decode(&payload)?)
     }
 }
@@ -104,8 +107,8 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError> {
-        write_frame(&mut self.stream, &request.encode())?;
+    fn round_trip(&mut self, request: Vec<u8>) -> Result<Response, ServiceError> {
+        write_frame(&mut self.stream, request)?;
         let payload = read_frame(&mut self.stream)?
             .ok_or(ServiceError::Proto(ProtoError::Io("server closed".into())))?;
         Ok(Response::decode(&payload)?)
@@ -151,7 +154,7 @@ impl<T: Transport> MeasurementClient<T> {
     /// incompatible pairing fails here with the typed field-level
     /// [`MergeError`] — before any sketch bytes move.
     pub fn connect(mut transport: T, expected: &SketchFingerprint) -> Result<Self, ServiceError> {
-        let server_fingerprint = match transport.round_trip(&Request::Hello(*expected))? {
+        let server_fingerprint = match transport.round_trip(Request::Hello(*expected).encode())? {
             Response::HelloAck(fp) => fp,
             Response::Error(msg) => return Err(ServiceError::Remote(msg)),
             _ => return Err(ServiceError::UnexpectedResponse),
@@ -171,7 +174,7 @@ impl<T: Transport> MeasurementClient<T> {
     /// (the epoch the merge created, total sketches merged, and the
     /// server-measured payload size).
     pub fn push_sketch(&mut self, sketch: &SketchPayload) -> Result<PushReceipt, ServiceError> {
-        match self.transport.round_trip(&Request::PushSketch(sketch.clone()))? {
+        match self.transport.round_trip(encode_push_sketch(sketch))? {
             Response::PushAck { epoch, nodes, bytes } => {
                 Ok(PushReceipt { epoch, nodes, bytes })
             }
@@ -190,7 +193,7 @@ impl<T: Transport> MeasurementClient<T> {
     /// not its cumulative sketch: payload merges are additive, so
     /// re-pushing mass the view already acked would double-count it.
     pub fn push_delta(&mut self, delta: &SketchDelta) -> Result<DeltaPush, ServiceError> {
-        match self.transport.round_trip(&Request::PushDelta(delta.clone()))? {
+        match self.transport.round_trip(encode_push_delta(delta))? {
             Response::PushAck { epoch, nodes, bytes } => {
                 Ok(DeltaPush::Accepted(PushReceipt { epoch, nodes, bytes }))
             }
@@ -224,7 +227,7 @@ impl<T: Transport> MeasurementClient<T> {
     /// Batch flow-size query; returns the serving epoch and one
     /// clamped default-estimator size per flow, in request order.
     pub fn query(&mut self, flows: &[u64]) -> Result<(u64, Vec<f64>), ServiceError> {
-        match self.transport.round_trip(&Request::Query(flows.to_vec()))? {
+        match self.transport.round_trip(encode_query(flows))? {
             Response::Estimates { epoch, values } => Ok((epoch, values)),
             Response::Error(msg) => Err(ServiceError::Remote(msg)),
             _ => Err(ServiceError::UnexpectedResponse),
@@ -233,7 +236,7 @@ impl<T: Transport> MeasurementClient<T> {
 
     /// Health-annotated single-flow query.
     pub fn query_health(&mut self, flow: u64) -> Result<(u64, HealthReport), ServiceError> {
-        match self.transport.round_trip(&Request::QueryHealth(flow))? {
+        match self.transport.round_trip(Request::QueryHealth(flow).encode())? {
             Response::Health { epoch, health } => Ok((epoch, health)),
             Response::Error(msg) => Err(ServiceError::Remote(msg)),
             _ => Err(ServiceError::UnexpectedResponse),
@@ -242,7 +245,7 @@ impl<T: Transport> MeasurementClient<T> {
 
     /// Cluster view statistics.
     pub fn stats(&mut self) -> Result<ClusterStats, ServiceError> {
-        match self.transport.round_trip(&Request::Stats)? {
+        match self.transport.round_trip(Request::Stats.encode())? {
             Response::Stats(s) => Ok(s),
             Response::Error(msg) => Err(ServiceError::Remote(msg)),
             _ => Err(ServiceError::UnexpectedResponse),

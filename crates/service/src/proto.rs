@@ -27,7 +27,7 @@
 //! in-process query.
 
 use caesar::{QueryHealth, SketchDelta, SketchFingerprint, SketchPayload};
-use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
+use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError, SEAL_FOOTER_LEN};
 
 /// Upper bound on a frame body. A `PushSketch` for one million 64-bit
 /// counters is ~8 MB; 64 MB leaves an order of magnitude of headroom
@@ -209,36 +209,17 @@ const TAG_DELTA_NACK: u8 = 0x86;
 const TAG_ERROR: u8 = 0xFF;
 
 impl Request {
-    /// Encode into a raw (unsealed) payload.
+    /// Encode into a raw (unsealed) payload, with spare capacity for
+    /// the seal footer [`write_frame`] appends in place.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
         match self {
-            Request::Hello(fp) => {
-                buf.push(TAG_HELLO);
-                fp.encode_into(&mut buf);
-            }
-            Request::PushSketch(p) => {
-                buf.push(TAG_PUSH);
-                buf.put_slice(&p.encode());
-            }
-            Request::PushDelta(d) => {
-                buf.push(TAG_PUSH_DELTA);
-                buf.put_slice(&d.encode());
-            }
-            Request::Query(flows) => {
-                buf.push(TAG_QUERY);
-                buf.put_u64_le(flows.len() as u64);
-                for &f in flows {
-                    buf.put_u64_le(f);
-                }
-            }
-            Request::QueryHealth(flow) => {
-                buf.push(TAG_HEALTH);
-                buf.put_u64_le(*flow);
-            }
-            Request::Stats => buf.push(TAG_STATS),
+            Request::Hello(fp) => small_message(TAG_HELLO, |buf| fp.encode_into(buf)),
+            Request::PushSketch(p) => encode_push_sketch(p),
+            Request::PushDelta(d) => encode_push_delta(d),
+            Request::Query(flows) => encode_query(flows),
+            Request::QueryHealth(flow) => small_message(TAG_HEALTH, |buf| buf.put_u64_le(*flow)),
+            Request::Stats => small_message(TAG_STATS, |_| {}),
         }
-        buf
     }
 
     /// Decode a payload produced by [`Request::encode`].
@@ -290,9 +271,14 @@ impl Request {
 }
 
 impl Response {
-    /// Encode into a raw (unsealed) payload.
+    /// Encode into a raw (unsealed) payload, with spare capacity for
+    /// the seal footer [`write_frame`] appends in place.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = frame_buffer(match self {
+            Response::Estimates { values, .. } => 17 + values.len() * 8,
+            Response::Error(msg) => 9 + msg.len(),
+            _ => SMALL_MESSAGE_BYTES,
+        });
         match self {
             Response::HelloAck(fp) => {
                 buf.push(TAG_HELLO_ACK);
@@ -424,6 +410,51 @@ impl Response {
     }
 }
 
+/// Upper bound on every fixed-size message (the largest, `Health`, is
+/// 57 bytes).
+const SMALL_MESSAGE_BYTES: usize = 64;
+
+/// An empty payload buffer sized for `payload_len` bytes plus the seal
+/// footer, so sealing never reallocates (and so never copies) it.
+fn frame_buffer(payload_len: usize) -> Vec<u8> {
+    Vec::with_capacity(payload_len + SEAL_FOOTER_LEN)
+}
+
+/// A fixed-size message: `tag`, then whatever `fields` appends.
+fn small_message(tag: u8, fields: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut buf = frame_buffer(SMALL_MESSAGE_BYTES);
+    buf.push(tag);
+    fields(&mut buf);
+    buf
+}
+
+/// `Request::PushSketch(p).encode()` from a borrowed payload.
+pub(crate) fn encode_push_sketch(p: &SketchPayload) -> Vec<u8> {
+    let mut buf = frame_buffer(1 + p.encoded_len());
+    buf.push(TAG_PUSH);
+    p.encode_into(&mut buf);
+    buf
+}
+
+/// `Request::PushDelta(d).encode()` from a borrowed delta.
+pub(crate) fn encode_push_delta(d: &SketchDelta) -> Vec<u8> {
+    let mut buf = frame_buffer(1 + d.encoded_len());
+    buf.push(TAG_PUSH_DELTA);
+    d.encode_into(&mut buf);
+    buf
+}
+
+/// `Request::Query(flows).encode()` from a borrowed flow list.
+pub(crate) fn encode_query(flows: &[u64]) -> Vec<u8> {
+    let mut buf = frame_buffer(9 + flows.len() * 8);
+    buf.push(TAG_QUERY);
+    buf.put_u64_le(flows.len() as u64);
+    for &f in flows {
+        buf.put_u64_le(f);
+    }
+    buf
+}
+
 fn expect_drained(r: &ByteReader<'_>) -> Result<(), ProtoError> {
     if r.remaining() != 0 {
         return Err(ProtoError::Malformed("trailing bytes"));
@@ -431,21 +462,23 @@ fn expect_drained(r: &ByteReader<'_>) -> Result<(), ProtoError> {
     Ok(())
 }
 
-/// Write one frame: seal `payload` and prefix the body length.
-pub fn write_frame(w: &mut impl std::io::Write, payload: &[u8]) -> Result<(), ProtoError> {
-    let mut body = payload.to_vec();
-    seal(&mut body);
-    if body.len() > MAX_FRAME_BYTES {
-        return Err(ProtoError::Oversized(body.len() as u64));
+/// Write one frame: seal `payload` in place and prefix the body
+/// length. Pass a buffer from [`Request::encode`] or
+/// [`Response::encode`] — they reserve room for the footer, so the
+/// seal appends without copying the payload.
+pub fn write_frame(w: &mut impl std::io::Write, mut payload: Vec<u8>) -> Result<(), ProtoError> {
+    seal(&mut payload);
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(ProtoError::Oversized(payload.len() as u64));
     }
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(&body)?;
+    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&payload)?;
     w.flush()?;
     Ok(())
 }
 
-/// Read one frame and return the validated payload (footer stripped).
-/// `Ok(None)` on a clean end-of-stream at a frame boundary.
+/// Read one frame and return the validated payload (footer stripped
+/// in place). `Ok(None)` on a clean end-of-stream at a frame boundary.
 pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, ProtoError> {
     let mut len_bytes = [0u8; 4];
     match r.read_exact(&mut len_bytes) {
@@ -459,8 +492,9 @@ pub fn read_frame(r: &mut impl std::io::Read) -> Result<Option<Vec<u8>>, ProtoEr
     }
     let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
-    let payload = unseal(&body)?;
-    Ok(Some(payload.to_vec()))
+    let payload_len = unseal(&body)?.len();
+    body.truncate(payload_len);
+    Ok(Some(body))
 }
 
 #[cfg(test)]
@@ -470,6 +504,119 @@ mod tests {
 
     fn fp() -> SketchFingerprint {
         SketchFingerprint::of(&CaesarConfig::default())
+    }
+
+    /// Every request and response variant, each written as one frame.
+    fn golden_wire() -> Vec<u8> {
+        let span = caesar::DIRTY_BLOCK_COUNTERS;
+        let fp = SketchFingerprint { counters: span * 2 + 5, ..fp() };
+        let payload = SketchPayload {
+            fingerprint: fp,
+            counters: (0..fp.counters as u64).map(|i| i * i % 1_000).collect(),
+            total_added: 123_456,
+            saturation_events: 7,
+            evictions: 89,
+        };
+        let delta = SketchDelta {
+            fingerprint: fp,
+            base_epoch: 41,
+            blocks: vec![(0, (0..span as u64).collect()), (2, vec![9, 0, 3, 0, 1])],
+            total_added_delta: 2_029,
+            saturation_events_delta: 1,
+            evictions_delta: 12,
+        };
+        let requests = [
+            Request::Hello(fp),
+            Request::PushSketch(payload),
+            Request::PushDelta(delta),
+            Request::Query(vec![1, u64::MAX, 0xDEAD_BEEF]),
+            Request::QueryHealth(77),
+            Request::Stats,
+        ];
+        let responses = [
+            Response::HelloAck(fp),
+            Response::PushAck { epoch: 3, nodes: 2, bytes: 16_408 },
+            Response::DeltaNack { epoch: 11 },
+            Response::Estimates { epoch: 1, values: vec![-0.5, 1024.25, f64::INFINITY] },
+            Response::Health {
+                epoch: 9,
+                health: HealthReport {
+                    estimate: 12.5,
+                    variance: 3.25,
+                    saturation_events: 2,
+                    saturated_counters: 1,
+                    loss_fraction: 0.125,
+                    confidence: 0.75,
+                },
+            },
+            Response::Stats(ClusterStats {
+                epoch: 4,
+                nodes: 4,
+                total_added: 1_000_000,
+                saturation_events: 0,
+                evictions: 512,
+                counters: 23_438,
+            }),
+            Response::Error("refused".into()),
+        ];
+        let mut wire = Vec::new();
+        for payload in requests.iter().map(Request::encode).chain(responses.iter().map(Response::encode)) {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        wire
+    }
+
+    /// FNV-1a 64 — pins the golden wire without a dependency.
+    fn fnv(bytes: &[u8]) -> u64 {
+        bytes
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// The wire bytes of every message variant are frozen: these
+    /// digests were taken from the encoder before the copy-free frame
+    /// path (`encode_into`, in-place seal and unseal) replaced it.
+    #[test]
+    fn golden_frames_are_byte_identical() {
+        let wire = golden_wire();
+        assert_eq!((wire.len(), fnv(&wire)), (2446, 0x838a_1565_2666_be32));
+        let mut hello = Vec::new();
+        write_frame(&mut hello, Request::Hello(fp()).encode()).unwrap();
+        let hex: String = hello.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "3c000000018e5b00000000000020000000030000000000000036000000000000002da1e5ca000000\
+             00004353524201002600000000000000d912e3eeedd40a32"
+        );
+        // Every frame reads back to the payload that was written.
+        let mut cursor = &wire[..];
+        let mut frames = 0;
+        while let Some(payload) = read_frame(&mut cursor).unwrap() {
+            let request = Request::decode(&payload).map(|r| r.encode());
+            let response = Response::decode(&payload).map(|r| r.encode());
+            assert!(request == Ok(payload.clone()) || response == Ok(payload));
+            frames += 1;
+        }
+        assert_eq!(frames, 13);
+    }
+
+    #[test]
+    fn borrowed_encoders_match_request_encode() {
+        let wire = golden_wire();
+        let mut cursor = &wire[..];
+        read_frame(&mut cursor).unwrap(); // Hello
+        let push = read_frame(&mut cursor).unwrap().unwrap();
+        let delta = read_frame(&mut cursor).unwrap().unwrap();
+        let query = read_frame(&mut cursor).unwrap().unwrap();
+        let Ok(Request::PushSketch(p)) = Request::decode(&push) else { panic!("push") };
+        let Ok(Request::PushDelta(d)) = Request::decode(&delta) else { panic!("delta") };
+        let Ok(Request::Query(flows)) = Request::decode(&query) else { panic!("query") };
+        let sketch_frame = encode_push_sketch(&p);
+        assert_eq!(sketch_frame, push);
+        assert_eq!(encode_push_delta(&d), delta);
+        assert_eq!(encode_query(&flows), query);
+        // Sized for the seal footer: sealing appends without moving.
+        assert!(sketch_frame.capacity() >= sketch_frame.len() + SEAL_FOOTER_LEN);
     }
 
     #[test]
@@ -554,7 +701,7 @@ mod tests {
     fn frames_roundtrip_and_reject_corruption() {
         let payload = Request::Query(vec![1, 2, 3]).encode();
         let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        write_frame(&mut wire, payload.clone()).unwrap();
         let mut cursor = &wire[..];
         assert_eq!(read_frame(&mut cursor).unwrap(), Some(payload.clone()));
         // Clean EOF at the boundary.

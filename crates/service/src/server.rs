@@ -232,8 +232,7 @@ fn serve_connection(service: &MeasurementService, mut stream: TcpStream) -> Resu
         let Some(payload) = read_frame(&mut stream)? else {
             return Ok(()); // peer closed between frames
         };
-        let response = service.handle_payload(&payload);
-        write_frame(&mut stream, &response)?;
+        write_frame(&mut stream, service.handle_payload(&payload))?;
     }
 }
 

@@ -6,11 +6,11 @@
 //! supervision — and keeps the aggregator's cluster view current with
 //! the cheapest correct push each time [`SupervisedTap::sync`] runs:
 //!
-//! * the first sync is a **full push** ([`SketchPayload`], O(L) on the
-//!   wire) — the aggregator has never seen this tap;
-//! * every later sync diffs the engine's export against the last
-//!   state the aggregator acked and pushes the **delta**
-//!   ([`SketchDelta`], O(changed blocks));
+//! * the first sync is a **full push** ([`caesar::SketchPayload`],
+//!   O(L) on the wire) — the aggregator has never seen this tap;
+//! * every later sync pushes the **delta** ([`SketchDelta`]) since
+//!   the last state the aggregator acked, built in O(changed blocks)
+//!   (see below);
 //! * an idle epoch (empty delta) pushes **nothing**;
 //! * a [`DeltaPush::Stale`] NACK — the view epoch moved under the tap,
 //!   typically because a sibling tap pushed — recovers with
@@ -18,6 +18,30 @@
 //!   refused delta's **increment only**. Mass the aggregator already
 //!   acked is never re-sent, so no NACK/resync interleaving can
 //!   double-count a packet.
+//!
+//! # O(changed) sync
+//!
+//! CAESAR's off-chip counters move only on cache evictions, so between
+//! two syncs only a few 64-counter blocks of SRAM change. A sync
+//! therefore never copies or scans all `L` counters. Right after
+//! [`ThreadedCaesar::merge_now`] has every lane's flush acknowledged,
+//! it drains the SRAM dirty bitmap's push consumer
+//! ([`ThreadedCaesar::take_push_dirty_blocks`]) — the blocks written
+//! since the last push drain, independent of any snapshot or
+//! `checkpoint_delta` drains in between. It reads only those blocks
+//! and diffs them against the tap's **shadow**: its own copy of the
+//! counters the aggregator acked, plus the acked tallies. A dirty
+//! block whose counters all equal the shadow (every write hit a
+//! clamped counter) is dropped, so the delta equals
+//! [`SketchDelta::between`] of two full exports bit for bit — that
+//! O(L) diff stays as the oracle the tests compare against.
+//!
+//! The diff and the shadow advance are one pass (each changed counter
+//! is read once and its shadow word written once). If the push fails
+//! on the wire, the advance is rolled back and the unacked blocks are
+//! handed back to the push consumer before `sync` returns, so the
+//! shadow only ever keeps a state the aggregator acked and the next
+//! sync re-carries the unshipped increment.
 //!
 //! The tap survives what its engine survives: a worker thread that
 //! hangs or panics between syncs is failed over by the engine's
@@ -27,7 +51,10 @@
 //! surfaces the engine's fault ledger so operators can tell a clean
 //! tap from one running on respawned workers.
 
-use caesar::{SketchDelta, SketchPayload, ThreadedCaesar};
+use caesar::{
+    AtomicCounterArray, DirtyConsumer, SketchDelta, SketchFingerprint, ThreadedCaesar,
+    DIRTY_BLOCK_COUNTERS,
+};
 
 use crate::client::{DeltaPush, MeasurementClient, PushReceipt, ServiceError, Transport};
 
@@ -80,23 +107,32 @@ impl TapHealth {
     }
 }
 
+/// The aggregator's last acked state of this tap: the diff base of
+/// the next delta.
+struct Acked {
+    /// Shadow of the acked counters, all `L` of them.
+    counters: Vec<u64>,
+    total_added: u64,
+    saturation_events: u64,
+    evictions: u64,
+    /// The aggregator view epoch the ack reported.
+    epoch: u64,
+}
+
 /// A detached-thread measurement engine plus the push-protocol state
 /// needed to keep one aggregator's view of it current. See the module
 /// docs for the sync strategy.
 pub struct SupervisedTap {
     engine: ThreadedCaesar,
-    /// The engine export most recently acked by the aggregator — the
-    /// diff base for the next delta. `None` until the first sync.
-    last_acked: Option<SketchPayload>,
-    /// The aggregator view epoch that ack reported.
-    acked_epoch: u64,
+    /// `None` until the first sync is acked.
+    acked: Option<Acked>,
 }
 
 impl SupervisedTap {
     /// Wrap a threaded engine. The engine may already carry traffic;
     /// the first [`SupervisedTap::sync`] ships everything it has seen.
     pub fn new(engine: ThreadedCaesar) -> Self {
-        Self { engine, last_acked: None, acked_epoch: 0 }
+        Self { engine, acked: None }
     }
 
     /// Offer one packet to the engine.
@@ -128,7 +164,7 @@ impl SupervisedTap {
     /// The aggregator view epoch of the most recent ack (0 before the
     /// first sync).
     pub fn acked_epoch(&self) -> u64 {
-        self.acked_epoch
+        self.acked.as_ref().map_or(0, |a| a.epoch)
     }
 
     /// Sum the engine's fault ledger across shards.
@@ -151,37 +187,106 @@ impl SupervisedTap {
     /// the cheapest correct frame — see the module docs. Returns what
     /// happened on the wire.
     ///
-    /// On any transport error the diff base is left untouched, so the
-    /// next sync re-diffs against the last state the aggregator
-    /// actually acked and re-carries the unshipped increment.
+    /// On any transport error or refusal the diff base is left as the
+    /// last acked state and the unacked blocks are carried into the
+    /// next sync, which re-carries the unshipped increment.
     pub fn sync<T: Transport>(
         &mut self,
         client: &mut MeasurementClient<T>,
     ) -> Result<SyncOutcome, ServiceError> {
         self.engine.merge_now();
-        let cur = self.engine.export_sketch();
-        let Some(prev) = &self.last_acked else {
+        let dirty = self.engine.take_push_dirty_blocks();
+        let Self { engine, acked } = self;
+        let Some(acked) = acked else {
+            // First contact ships everything, so the drained blocks
+            // carry nothing the full push does not.
+            let cur = engine.export_sketch();
             let receipt = client.push_sketch(&cur)?;
-            self.acked_epoch = receipt.epoch;
-            self.last_acked = Some(cur);
+            *acked = Some(Acked {
+                counters: cur.counters,
+                total_added: cur.total_added,
+                saturation_events: cur.saturation_events,
+                evictions: cur.evictions,
+                epoch: receipt.epoch,
+            });
             return Ok(SyncOutcome::Full(receipt));
         };
-        let delta = SketchDelta::between(prev, &cur, self.acked_epoch)
-            .map_err(ServiceError::Incompatible)?;
+        let sram = engine.sram();
+        let delta = SketchDelta {
+            fingerprint: SketchFingerprint::of(engine.config()),
+            base_epoch: acked.epoch,
+            blocks: advance_shadow(sram, &mut acked.counters, &dirty),
+            total_added_delta: sram.total_added() - acked.total_added,
+            saturation_events_delta: sram.saturations() - acked.saturation_events,
+            evictions_delta: engine.evictions() - acked.evictions,
+        };
         if delta.is_empty() {
             return Ok(SyncOutcome::Skipped);
         }
-        let outcome = match client.push_delta(&delta)? {
-            DeltaPush::Accepted(receipt) => SyncOutcome::Delta(receipt),
-            DeltaPush::Stale { .. } => {
-                SyncOutcome::Resynced(client.resync_after_nack(&delta)?)
+        let pushed = match client.push_delta(&delta) {
+            Ok(DeltaPush::Accepted(receipt)) => Ok(SyncOutcome::Delta(receipt)),
+            Ok(DeltaPush::Stale { .. }) => {
+                client.resync_after_nack(&delta).map(SyncOutcome::Resynced)
             }
+            Err(e) => Err(e),
         };
-        let receipt = outcome.receipt().expect("push outcomes carry a receipt");
-        self.acked_epoch = receipt.epoch;
-        self.last_acked = Some(cur);
-        Ok(outcome)
+        match pushed {
+            Ok(outcome) => {
+                let receipt = outcome.receipt().expect("push outcomes carry a receipt");
+                acked.total_added += delta.total_added_delta;
+                acked.saturation_events += delta.saturation_events_delta;
+                acked.evictions += delta.evictions_delta;
+                acked.epoch = receipt.epoch;
+                Ok(outcome)
+            }
+            Err(e) => {
+                // Undo the shadow advance; the next sync re-ships these
+                // blocks against the acked state.
+                for (block, increments) in &delta.blocks {
+                    let start = block * DIRTY_BLOCK_COUNTERS;
+                    for (s, inc) in acked.counters[start..].iter_mut().zip(increments) {
+                        *s -= inc;
+                    }
+                }
+                let unacked: Vec<usize> = delta.blocks.iter().map(|&(block, _)| block).collect();
+                sram.requeue_dirty_blocks(DirtyConsumer::Push, &unacked);
+                Err(e)
+            }
+        }
     }
+}
+
+/// Diff the `dirty` blocks of `sram` against `shadow` and advance the
+/// shadow to the SRAM in the same pass. Returns the changed blocks with
+/// their per-counter increments, ascending — exactly the blocks
+/// [`SketchDelta::between`] emits for the same two states, since a
+/// counter can only have moved inside a dirty block.
+fn advance_shadow(
+    sram: &AtomicCounterArray,
+    shadow: &mut [u64],
+    dirty: &[usize],
+) -> Vec<(usize, Vec<u64>)> {
+    let mut blocks = Vec::with_capacity(dirty.len());
+    for &block in dirty {
+        let start = block * DIRTY_BLOCK_COUNTERS;
+        let end = (start + DIRTY_BLOCK_COUNTERS).min(shadow.len());
+        let mut changed = false;
+        let increments: Vec<u64> = shadow[start..end]
+            .iter_mut()
+            .zip(start..end)
+            .map(|(s, idx)| {
+                let cur = sram.get(idx);
+                let inc = cur.saturating_sub(*s);
+                changed |= cur != *s;
+                *s = cur;
+                inc
+            })
+            .collect();
+        if changed {
+            blocks.push((block, increments));
+        }
+    }
+    blocks
 }
 
 #[cfg(test)]

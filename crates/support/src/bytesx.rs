@@ -98,7 +98,9 @@ const SEAL_MAGIC: u32 = u32::from_le_bytes(*b"CSRB");
 /// payload) changes shape.
 const SEAL_VERSION: u16 = 1;
 /// Footer length: magic (4) + version (2) + payload len (8) + fnv (8).
-const SEAL_FOOTER_LEN: usize = 4 + 2 + 8 + 8;
+/// Reserve this much spare capacity to [`seal`] a buffer without
+/// reallocating it.
+pub const SEAL_FOOTER_LEN: usize = 4 + 2 + 8 + 8;
 
 use hashkit::fnv::fnv1a64;
 

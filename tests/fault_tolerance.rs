@@ -19,6 +19,7 @@ use caesar::{
     ThreadedCaesar,
 };
 use cachesim::CachePolicy;
+use service::{InProcess, MeasurementClient, MeasurementService, SupervisedTap};
 use support::rand::{rngs::StdRng, Rng};
 use support::testkit::{
     for_each_seed_n, FaultEvent, FaultInjector, FaultSite, GenExt, INJECTED_PANIC,
@@ -138,7 +139,9 @@ fn random_fault_plans_keep_accounting_exact_across_shard_counts() {
 /// random *thread* chaos schedules (panics, heartbeat-supervised
 /// hangs, slow drains) across shard counts must leave the engine
 /// serving with exact loss accounting and a fault log coherent with
-/// what actually fired. Batch boundaries — and therefore *when* a
+/// what actually fired — and a collector fed by a [`SupervisedTap`]
+/// that syncs after every batch must end with its view equal to the
+/// engine's SRAM. Batch boundaries — and therefore *when* a
 /// hang/slow tick is consumed — depend on OS scheduling, so this
 /// asserts invariants, not byte-identity (the fault-free byte-identity
 /// property lives in `tests/threaded_runtime.rs`).
@@ -154,10 +157,21 @@ fn random_thread_chaos_keeps_accounting_exact_across_shard_counts() {
             let horizon = (flows.len() as u64 / shards as u64).max(1);
             let plan = FaultInjector::random_thread_plan(rng, shards, horizon);
 
-            let mut engine = ThreadedCaesar::new(cfg, shards)
+            let engine = ThreadedCaesar::new(cfg, shards)
                 .with_heartbeat_interval(heartbeat)
                 .with_injector(plan);
-            engine.offer_batch(&flows);
+            // A collector follows the chaos through a supervised tap
+            // that syncs after every batch.
+            let svc = MeasurementService::new(cfg);
+            let mut collector =
+                MeasurementClient::connect(InProcess::new(&svc), &svc.fingerprint()).unwrap();
+            let mut tap = SupervisedTap::new(engine);
+            let batch = rng.gen_range(1usize..800);
+            for chunk in flows.chunks(batch) {
+                tap.offer_batch(chunk);
+                tap.sync(&mut collector).expect("in-process sync");
+            }
+            let engine = tap.engine_mut();
             engine.merge_now(); // drains every ring dry
 
             // A hang verdict is wall-clock asynchronous: a worker that
@@ -221,6 +235,19 @@ fn random_thread_chaos_keeps_accounting_exact_across_shard_counts() {
             if panics == 0 && hangs == 0 {
                 assert_eq!(st.quarantined, 0, "no fault, no loss");
             }
+
+            // Whatever the failovers salvaged reaches the collector on
+            // the next sync: the view ends equal to the engine's SRAM.
+            tap.sync(&mut collector).expect("in-process sync");
+            let engine = tap.into_engine();
+            svc.with_view(|view, _| {
+                assert_eq!(
+                    view.sram().snapshot(),
+                    engine.sram().snapshot(),
+                    "collector view diverged under chaos: {cfg:?} shards={shards}"
+                );
+                assert_eq!(view.sram().total_added(), engine.sram().total_added());
+            });
             engine.finish();
         });
     }

@@ -293,6 +293,24 @@ fn live_snapshot_restore_resumes_identically() {
     assert_eq!(done.sram().snapshot(), batch.sram().snapshot());
 }
 
+/// A quiesce issued right after a resume, with a few packets offered
+/// in between, must not wedge: a worker still sleeping in its park
+/// loop may never see the flag low before the next quiesce raises it
+/// again, so it has to leave the park when packets arrive.
+#[test]
+fn quiesce_right_after_resume_drains_the_parked_ring() {
+    let flows = workload(64);
+    let mut online = ThreadedCaesar::new(cfg(), 2).with_heartbeat_interval(QUIET);
+    online.offer_batch(&flows);
+    online.snapshot();
+    for round in 0..200 {
+        online.offer_batch(&flows[..1 + round % 7]);
+        online.checkpoint_delta().expect("anchored chain");
+    }
+    let st = online.stats();
+    assert_eq!((st.in_flight, st.recorded), (0, st.offered));
+}
+
 /// Delta-checkpoint chains emitted by a live threaded engine
 /// (quiesce → `CDLT` frame → resume) must restore through
 /// `restore_chain` to the same bytes as the engine that emitted them.
