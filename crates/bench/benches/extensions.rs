@@ -379,6 +379,19 @@ fn zoo_merge_and_service() {
         let bytes = payloads[0].encode();
         black_box(caesar::SketchPayload::decode(&bytes).expect("round trip"));
     });
+    // The seal footer's checksum on its own, over an 8 MiB buffer —
+    // the size of a full L = 2^20 snapshot or push.
+    let payload_len = 8 << 20;
+    let mut sealed: Vec<u8> = (0..payload_len).map(|i| (i * 31 % 251) as u8).collect();
+    sealed.reserve_exact(support::bytesx::SEAL_FOOTER_LEN);
+    g.bench("seal_8MiB", || {
+        sealed.truncate(payload_len);
+        support::bytesx::seal(&mut sealed);
+        black_box(&sealed);
+    });
+    g.bench("unseal_8MiB", || {
+        black_box(support::bytesx::unseal(&sealed).expect("sealed").len());
+    });
     g.bench("inprocess_push3_query64", || {
         let svc = MeasurementService::new(cfg);
         let mut client =

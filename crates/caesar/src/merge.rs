@@ -497,6 +497,12 @@ impl SketchDelta {
         if num > n_blocks_total {
             return Err(PayloadError::Malformed("more changed blocks than blocks"));
         }
+        // Both bounds above come from the untrusted bytes themselves
+        // (`counters` is in the fingerprint), so size from the input:
+        // every block carries at least an index and one counter.
+        if num > r.remaining() / 16 {
+            return Err(PayloadError::Truncated);
+        }
         let mut blocks = Vec::with_capacity(num);
         let mut prev_block = None;
         for _ in 0..num {
@@ -684,6 +690,27 @@ mod tests {
             SketchDelta::decode(&out_of_range.encode()),
             Err(PayloadError::Malformed("block index out of range"))
         ));
+    }
+
+    /// 83 hostile bytes: a header claiming `L = 2^46` counters and
+    /// `2^40` changed blocks, with no block bytes behind it. Sizing the
+    /// block list from those counts asked the allocator for 32 TiB and
+    /// aborted the process.
+    #[test]
+    fn delta_block_count_is_bounded_by_the_input_length() {
+        let hostile = SketchDelta {
+            fingerprint: SketchFingerprint { counters: 1 << 46, ..fp() },
+            base_epoch: 0,
+            blocks: Vec::new(),
+            total_added_delta: 0,
+            saturation_events_delta: 0,
+            evictions_delta: 0,
+        };
+        let mut enc = hostile.encode();
+        assert_eq!(enc.len(), 83);
+        let n = enc.len();
+        enc[n - 8..].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert_eq!(SketchDelta::decode(&enc), Err(PayloadError::Truncated));
     }
 
     #[test]

@@ -76,7 +76,7 @@ use crate::query::{query_health, QueryHealth};
 use crate::WRITEBACK_ACCUMULATE_ALL;
 use cachesim::{CachePolicy, CacheStats, CacheTableState};
 use hashkit::{KCounterMap, K_MAX};
-use support::bytesx::{seal, unseal, ByteReader, PutBytes, SealError};
+use support::bytesx::{seal, sealed_checksum, unseal, ByteReader, PutBytes, SealError};
 use support::spsc;
 use support::testkit::{FaultInjector, FaultSite, INJECTED_PANIC};
 
@@ -327,9 +327,9 @@ pub struct OnlineCaesar {
     pub(crate) offered_total: u64,
     pub(crate) injector: FaultInjector,
     /// Delta-checkpoint chain position: `(chain id, deltas emitted)`.
-    /// The chain id is the FNV-1a digest of the anchoring full
-    /// snapshot's sealed bytes, so an uninterrupted engine and one
-    /// restored from that same blob agree on it without coordination.
+    /// The chain id is the anchoring full snapshot's seal checksum
+    /// (see [`chain_id`]), so an uninterrupted engine and one restored
+    /// from that same blob agree on it without coordination.
     /// `None` until the first [`OnlineCaesar::snapshot`] anchors a
     /// chain.
     pub(crate) chain: Option<(u64, u64)>,
@@ -873,7 +873,7 @@ impl OnlineCaesar {
         seal(buf);
         // This blob is now the chain anchor: future deltas diff against
         // it, so the dirty baseline resets here.
-        self.chain = Some((hashkit::fnv::fnv1a64(buf), 0));
+        self.chain = Some((chain_id(buf), 0));
         let _ = self.sram.take_dirty_blocks();
     }
 
@@ -942,9 +942,9 @@ impl OnlineCaesar {
     /// whole: it is O(cache), independent of `L`, and churns fully
     /// every epoch anyway.
     ///
-    /// Chain discipline: a full snapshot anchors the chain (its digest
-    /// is the chain id); each delta carries the chain id and a 1-based
-    /// sequence number. [`OnlineCaesar::restore_chain`] replays
+    /// Chain discipline: a full snapshot anchors the chain (its seal
+    /// checksum is the chain id); each delta carries the chain id and
+    /// a 1-based sequence number. [`OnlineCaesar::restore_chain`] replays
     /// `base + deltas` to a state **byte-identical** to the
     /// uninterrupted engine at the moment this frame was emitted.
     ///
@@ -1211,10 +1211,9 @@ impl OnlineCaesar {
             merges,
             offered_total,
             injector: FaultInjector::none(),
-            // Re-deriving the chain id from the blob's own bytes means a
-            // restored engine continues the chain the blob anchored:
-            // both sides hashed the same bytes.
-            chain: Some((hashkit::fnv::fnv1a64(bytes), 0)),
+            // Re-deriving the chain id from the blob's own footer means
+            // a restored engine continues the chain the blob anchored.
+            chain: Some((chain_id(bytes), 0)),
         })
     }
 
@@ -1439,6 +1438,15 @@ pub(crate) struct EngineHeader<'a> {
     pub(crate) epoch: u64,
     pub(crate) merges: u64,
     pub(crate) offered_total: u64,
+}
+
+/// The delta-chain id a sealed full snapshot anchors: the XXH64
+/// payload checksum its seal footer already carries, read in O(1)
+/// instead of hashing the ~8 MiB blob a second time. The pump, the
+/// threaded engine and [`OnlineCaesar::restore`] all derive it here, so
+/// their chains splice.
+pub(crate) fn chain_id(sealed_snapshot: &[u8]) -> u64 {
+    sealed_checksum(sealed_snapshot).expect("a chain anchor is a sealed snapshot")
 }
 
 /// Full-snapshot prelude: layout version, fingerprint, config, engine
@@ -2099,7 +2107,8 @@ mod tests {
         let mut live = OnlineCaesar::new(cfg(), 2).with_epoch_len(4_096);
         live.offer_batch(base_part);
         let base = live.snapshot();
-        assert_eq!(live.chain_position(), Some((hashkit::fnv::fnv1a64(&base), 0)));
+        let payload = &base[..base.len() - support::bytesx::SEAL_FOOTER_LEN];
+        assert_eq!(live.chain_position(), Some((hashkit::xxh64::xxh64(payload), 0)));
         live.offer_batch(mid);
         let d1 = live.checkpoint_delta().expect("anchored chain emits");
         live.offer_batch(last);

@@ -76,9 +76,9 @@ use crate::config::{CaesarConfig, Estimator};
 use crate::estimator::{csm, mlm, Estimate, EstimateParams};
 use crate::merge::{SketchFingerprint, SketchPayload};
 use crate::online::{
-    encode_delta_prelude, encode_lane_section, encode_snapshot_prelude, BackpressurePolicy,
-    ChainError, DeltaError, EngineHeader, FaultKind, FaultLog, FaultRecord, Lane, LaneEncodeParts,
-    LaneStats, OnlineCaesar, OnlineStats, RestoreError,
+    chain_id, encode_delta_prelude, encode_lane_section, encode_snapshot_prelude,
+    BackpressurePolicy, ChainError, DeltaError, EngineHeader, FaultKind, FaultLog, FaultRecord,
+    Lane, LaneEncodeParts, LaneStats, OnlineCaesar, OnlineStats, RestoreError,
 };
 use crate::query::{query_health, QueryHealth};
 use crate::WRITEBACK_ACCUMULATE_ALL;
@@ -1002,7 +1002,7 @@ impl ThreadedCaesar {
         encode_snapshot_prelude(buf, &self.header(), &self.sram);
         self.encode_lanes(buf);
         seal(buf);
-        self.chain = Some((hashkit::fnv::fnv1a64(buf), 0));
+        self.chain = Some((chain_id(buf), 0));
         let _ = self.sram.take_dirty_blocks();
         self.resume();
     }

@@ -10,6 +10,8 @@
 //! * [`sha1::Sha1`] — the full SHA-1 digest (FIPS 180-1);
 //! * [`aphash::aphash`] / [`aphash::aphash64`] — Arash Partow's AP hash;
 //! * [`fnv::fnv1a64`] — FNV-1a, used as a cheap secondary mixer;
+//! * [`xxh64::xxh64`] — XXH64, the word-wide checksum in every sealed
+//!   frame's footer (the workspace's one integrity checksum);
 //! * [`mix::splitmix64`] / [`mix::mix64`] — fast avalanche finalizers,
 //!   the workhorses for seeded per-flow hash families;
 //! * [`kmap::KCounterMap`] — the deterministic map `flow_id -> k`
@@ -24,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod aphash;
-pub mod crc32;
 pub mod flowid;
 pub mod flowmap;
 pub mod fnv;
@@ -33,6 +34,7 @@ pub mod kmap;
 pub mod mix;
 pub mod murmur;
 pub mod sha1;
+pub mod xxh64;
 
 pub use flowmap::FlowSlotMap;
 pub use idhash::{IdHashMap, IdHashSet};

@@ -3,7 +3,7 @@
 
 use hashkit::mix::{bucket, mix64};
 use hashkit::sha1::Sha1;
-use hashkit::{crc32, flowid, murmur, KCounterMap};
+use hashkit::{flowid, murmur, KCounterMap};
 use support::rand::Rng;
 use support::testkit::{for_each_seed, GenExt};
 
@@ -24,18 +24,6 @@ fn sha1_chunking_invariance() {
             h.update(&data[w[0]..w[1]]);
         }
         assert_eq!(h.finalize(), Sha1::digest(&data));
-    });
-}
-
-/// CRC-32 incremental == one-shot for any split.
-#[test]
-fn crc32_incremental() {
-    for_each_seed(|rng| {
-        let data = rng.bytes(0..300);
-        let split = rng.gen_range(0usize..300).min(data.len());
-        let st = crc32::update(0xFFFF_FFFF, &data[..split]);
-        let st = crc32::update(st, &data[split..]);
-        assert_eq!(st ^ 0xFFFF_FFFF, crc32::crc32(&data));
     });
 }
 

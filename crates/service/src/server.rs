@@ -306,6 +306,45 @@ mod tests {
         assert!(matches!(rsp, Response::Error(_)));
     }
 
+    /// A `PushDelta` whose 83-byte delta claims `L = 2^46` counters and
+    /// `2^40` changed blocks with no block bytes behind them. Decoding
+    /// it once sized a 32 TiB allocation and aborted the collector.
+    fn hostile_push_delta() -> Vec<u8> {
+        let delta = caesar::SketchDelta {
+            fingerprint: SketchFingerprint { counters: 1 << 46, ..SketchFingerprint::of(&cfg()) },
+            base_epoch: 0,
+            blocks: Vec::new(),
+            total_added_delta: 0,
+            saturation_events_delta: 0,
+            evictions_delta: 0,
+        };
+        let mut frame = Request::PushDelta(delta).encode();
+        let n = frame.len();
+        frame[n - 8..].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        frame
+    }
+
+    #[test]
+    fn hostile_delta_block_count_is_an_error_response_not_an_abort() {
+        let svc = Arc::new(MeasurementService::new(cfg()));
+        let rsp = Response::decode(&svc.handle_payload(&hostile_push_delta())).unwrap();
+        assert!(matches!(rsp, Response::Error(_)), "{rsp:?}");
+        // Over a real socket: the connection and the server both survive.
+        let server = TcpServer::spawn(Arc::clone(&svc), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        write_frame(&mut stream, hostile_push_delta()).unwrap();
+        let rsp = read_frame(&mut stream).unwrap().expect("a response frame");
+        assert!(matches!(Response::decode(&rsp), Ok(Response::Error(_))));
+        write_frame(&mut stream, Request::Query(vec![hash_flow(1)]).encode()).unwrap();
+        let rsp = read_frame(&mut stream).unwrap().expect("a response frame");
+        match Response::decode(&rsp) {
+            Ok(Response::Estimates { epoch: 0, values }) => assert_eq!(values.len(), 1),
+            other => panic!("wrong variant: {other:?}"),
+        }
+        drop(stream);
+        server.stop();
+    }
+
     fn hash_flow(i: u64) -> u64 {
         // Spread IDs like real flow hashes.
         i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31)

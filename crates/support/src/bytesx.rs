@@ -94,27 +94,40 @@ impl<'a> ByteReader<'a> {
 /// Magic tag of a sealed buffer footer (`b"CSRB"` — CAESAR blob —
 /// followed by a format version byte pair).
 const SEAL_MAGIC: u32 = u32::from_le_bytes(*b"CSRB");
-/// Footer layout version. Bump when the footer itself (not the
-/// payload) changes shape.
-const SEAL_VERSION: u16 = 1;
-/// Footer length: magic (4) + version (2) + payload len (8) + fnv (8).
+/// Footer format version. Bump when the footer's shape or checksum
+/// changes. Version 1 summed the payload with FNV-1a; version 2 uses
+/// XXH64, and [`unseal`] refuses a version-1 footer as
+/// [`SealError::BadMagic`].
+const SEAL_VERSION: u16 = 2;
+/// Footer length: magic (4) + version (2) + payload len (8) + xxh64 (8).
 /// Reserve this much spare capacity to [`seal`] a buffer without
 /// reallocating it.
 pub const SEAL_FOOTER_LEN: usize = 4 + 2 + 8 + 8;
 
-use hashkit::fnv::fnv1a64;
+use hashkit::xxh64::xxh64;
 
 /// Append a crash-consistency footer — `magic, version, payload_len,
-/// fnv1a64(payload)` — to `payload` in place. A sealed buffer is
+/// xxh64(payload)` — to `payload` in place. A sealed buffer is
 /// self-validating: [`unseal`] refuses truncated, over-long, or
 /// bit-flipped blobs instead of letting a decoder misparse them.
 pub fn seal(payload: &mut Vec<u8>) {
     let len = payload.len() as u64;
-    let sum = fnv1a64(payload);
+    let sum = xxh64(payload);
     payload.put_u32_le(SEAL_MAGIC);
     payload.put_u16_le(SEAL_VERSION);
     payload.put_u64_le(len);
     payload.put_u64_le(sum);
+}
+
+/// The payload checksum recorded in a sealed buffer's footer (its last
+/// 8 bytes), read in O(1) without re-hashing. `None` when `buf` is too
+/// short to hold a footer. The value is only trustworthy for a buffer
+/// that [`seal`] produced or [`unseal`] accepted.
+pub fn sealed_checksum(buf: &[u8]) -> Option<u64> {
+    if buf.len() < SEAL_FOOTER_LEN {
+        return None;
+    }
+    ByteReader::new(&buf[buf.len() - 8..]).get_u64_le()
 }
 
 /// Why [`unseal`] rejected a buffer.
@@ -160,7 +173,7 @@ pub fn unseal(buf: &[u8]) -> Result<&[u8], SealError> {
     if len != payload.len() as u64 {
         return Err(SealError::Truncated);
     }
-    if sum != fnv1a64(payload) {
+    if sum != xxh64(payload) {
         return Err(SealError::BadChecksum);
     }
     Ok(payload)
@@ -236,5 +249,46 @@ mod tests {
         assert_eq!(unseal(&bad), Err(SealError::BadMagic));
         // Too short to even hold a footer.
         assert_eq!(unseal(&[1, 2, 3]), Err(SealError::Truncated));
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_refused() {
+        use crate::rand::Rng;
+        // Every length 0..=200 crosses the checksum's 32-byte stripe and
+        // its 8-, 4- and 1-byte tails; every bit of payload and footer
+        // is flipped in turn.
+        crate::testkit::for_each_seed_n(2, |rng| {
+            for len in 0..=200 {
+                let mut buf = vec![0u8; len];
+                rng.fill_bytes(&mut buf);
+                seal(&mut buf);
+                assert_eq!(unseal(&buf).map(<[u8]>::len), Ok(len));
+                for bit in 0..buf.len() * 8 {
+                    buf[bit / 8] ^= 1 << (bit % 8);
+                    assert!(unseal(&buf).is_err(), "len {len}: flip of bit {bit} accepted");
+                    buf[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn version_1_footer_is_refused_as_bad_magic() {
+        // A footer exactly as version 1 wrote it: FNV-1a over the payload.
+        let payload = b"snapshot payload";
+        let mut buf = payload.to_vec();
+        buf.put_u32_le(SEAL_MAGIC);
+        buf.put_u16_le(1);
+        buf.put_u64_le(payload.len() as u64);
+        buf.put_u64_le(hashkit::fnv::fnv1a64(payload));
+        assert_eq!(unseal(&buf), Err(SealError::BadMagic));
+    }
+
+    #[test]
+    fn sealed_checksum_reads_the_footer() {
+        let mut buf = b"anchor".to_vec();
+        seal(&mut buf);
+        assert_eq!(sealed_checksum(&buf), Some(xxh64(b"anchor")));
+        assert_eq!(sealed_checksum(&buf[..SEAL_FOOTER_LEN - 1]), None);
     }
 }
